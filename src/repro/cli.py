@@ -413,12 +413,13 @@ def _print_profile(collector, model, out):
         ),
         file=out,
     )
-    header = "%-10s %-9s %4s %5s %8s %8s %9s  %s" % (
+    header = "%-10s %-9s %4s %5s %8s %8s %8s %9s  %s" % (
         "op",
         "variant",
         "step",
         "calls",
         "in",
+        "pairs",
         "out",
         "seconds",
         "clause",
@@ -429,13 +430,14 @@ def _print_profile(collector, model, out):
         if len(clause) > 48:
             clause = clause[:45] + "..."
         print(
-            "%-10s %-9s %4d %5d %8d %8d %9.6f  %s"
+            "%-10s %-9s %4d %5d %8d %8s %8d %9.6f  %s"
             % (
                 row["op"] + ("(%s)" % row["predicate"] if row["predicate"] else ""),
                 row["variant"],
                 row["step"],
                 row["invocations"],
                 row["input_tuples"],
+                "-" if row["pairs"] is None else row["pairs"],
                 row["output_tuples"],
                 row["seconds"],
                 clause,

@@ -19,10 +19,11 @@ Identity of the cache keys rests on the interning layers:
   signatures (``sid``) and exposes them via
   ``GeneralizedTuple.kernel_ids()``.
 
-Each compiled plan step draws a process-unique ``token`` from
-:func:`next_token`; cache keys are ``(token, ids…)`` so a step's
-pushed-down constraint atoms are part of the key implicitly (two steps
-never share a token).
+Each compiled plan step owns its template caches
+(:func:`template_cache`), so a step's pushed-down constraint atoms are
+part of every key implicitly and the cache lives exactly as long as
+the compiled plan: a discarded engine frees its templates with it.
+Keys are the operands' ids alone.
 
 :data:`ENABLED` is the ablation switch: with the kernel disabled every
 batch helper degrades to the exact per-tuple loop it replaced, and the
@@ -39,34 +40,45 @@ import the flag without a cycle.
 from __future__ import annotations
 
 import threading
+import weakref
 
 #: Master switch for the batch kernel and the tuple-layer fast paths.
 #: Flip via :class:`configured` (tests, benchmarks) rather than by
 #: assignment.
 ENABLED = True
 
-#: Combined cap across each template cache; past it, batch helpers
-#: keep computing per-tuple without caching new templates.
+#: Entries one step's template cache holds at most; past it, that
+#: step's batch helpers keep computing per-tuple without caching new
+#: templates.
 CACHE_CAP = 1 << 17
 
 _UNSET = object()
 
-_JOIN_CACHE = {}      # (token, a_lvid, a_cid, b_lvid, b_cid) -> None | (lrps, cs)
-_SELECT_CACHE = {}    # (token, lvid, cid) -> None | (lrps, cs)
-_EXTEND_CACHE = {}    # (token, lvid, cid) -> None | (lrps, cs)
-_PROJECT_CACHE = {}   # (token, lvid, cid) -> [(lrps, cs), ...]
+#: The template kinds, one per batch helper.  Key shapes:
+#: join ``(a_lvid, a_cid, b_lvid, b_cid) -> None | (lrps, cs)``;
+#: select / extend ``(lvid, cid) -> None | (lrps, cs)``;
+#: project ``(lvid, cid) -> [(lrps, cs), ...]``.
+KINDS = ("join", "select", "extend", "project")
 
-_TOKEN_LOCK = threading.Lock()
-_NEXT_TOKEN = 0
+_LIVE_LOCK = threading.Lock()
+_LIVE = {kind: weakref.WeakValueDictionary() for kind in KINDS}  # id -> cache
 
 
-def next_token():
-    """A process-unique id for one compiled plan step's cache keyspace."""
-    global _NEXT_TOKEN
-    with _TOKEN_LOCK:
-        token = _NEXT_TOKEN
-        _NEXT_TOKEN += 1
-    return token
+class TemplateCache(dict):
+    """One plan step's memoized temporal templates (a plain dict that
+    the live-cache registry can reference weakly)."""
+
+    __slots__ = ("__weakref__",)
+
+
+def template_cache(kind):
+    """A fresh template cache of ``kind`` (one of :data:`KINDS`) for
+    one compiled plan step, registered for :func:`cache_stats` until
+    the step is garbage."""
+    cache = TemplateCache()
+    with _LIVE_LOCK:
+        _LIVE[kind][id(cache)] = cache
+    return cache
 
 
 class configured:
@@ -89,14 +101,15 @@ class configured:
 
 
 def cache_stats():
-    """Sizes of the kernel template caches (for tests/benchmarks)."""
-    return {
-        "join": len(_JOIN_CACHE),
-        "select": len(_SELECT_CACHE),
-        "extend": len(_EXTEND_CACHE),
-        "project": len(_PROJECT_CACHE),
-        "cap": CACHE_CAP,
-    }
+    """Entries held by the live template caches, summed per kind, and
+    the per-step cap (for tests/benchmarks)."""
+    with _LIVE_LOCK:
+        stats = {
+            kind: sum(len(cache) for cache in _LIVE[kind].values())
+            for kind in KINDS
+        }
+    stats["cap"] = CACHE_CAP
+    return stats
 
 
 # -- batch operations --------------------------------------------------------
@@ -109,12 +122,12 @@ def cache_stats():
 # the per-tuple code they replace.
 
 
-def join_batch(pairs, atoms, token, stats=None):
+def join_batch(pairs, atoms, cache, stats=None):
     """Batched fused join: ``a.joined(b, atoms)`` per pair.
 
     Returns a list aligned with ``pairs`` (None where the combined zone
     is unsatisfiable).  The temporal template — the result's lrps and
-    constraints — is memoized per ``(token, operand ids)``.
+    constraints — is memoized in the step's ``cache`` per operand ids.
     """
     out = []
     hits = 0
@@ -125,12 +138,12 @@ def join_batch(pairs, atoms, token, stats=None):
         for a, b in pairs:
             alv, _, acid = a.kernel_ids()
             blv, _, bcid = b.kernel_ids()
-            key = (token, alv, acid, blv, bcid)
-            cached = _JOIN_CACHE.get(key, _UNSET)
+            key = (alv, acid, blv, bcid)
+            cached = cache.get(key, _UNSET)
             if cached is _UNSET:
                 result = a.joined(b, atoms)
-                if len(_JOIN_CACHE) < CACHE_CAP:
-                    _JOIN_CACHE[key] = (
+                if len(cache) < CACHE_CAP:
+                    cache[key] = (
                         None if result is None else (result.lrps, result.constraints)
                     )
                 out.append(result)
@@ -147,7 +160,7 @@ def join_batch(pairs, atoms, token, stats=None):
     return out
 
 
-def select_batch(tuples, atoms, token, stats=None):
+def select_batch(tuples, atoms, cache, stats=None):
     """Batched selection: ``gt.conjoined(atoms)`` per tuple."""
     out = []
     hits = 0
@@ -157,12 +170,12 @@ def select_batch(tuples, atoms, token, stats=None):
     else:
         for gt in tuples:
             lvid, _, cid = gt.kernel_ids()
-            key = (token, lvid, cid)
-            cached = _SELECT_CACHE.get(key, _UNSET)
+            key = (lvid, cid)
+            cached = cache.get(key, _UNSET)
             if cached is _UNSET:
                 result = gt.conjoined(atoms)
-                if len(_SELECT_CACHE) < CACHE_CAP:
-                    _SELECT_CACHE[key] = (
+                if len(cache) < CACHE_CAP:
+                    cache[key] = (
                         None if result is None else (result.lrps, result.constraints)
                     )
                 out.append(result)
@@ -179,7 +192,7 @@ def select_batch(tuples, atoms, token, stats=None):
     return out
 
 
-def extend_batch(tuples, count, atoms, token, stats=None):
+def extend_batch(tuples, count, atoms, cache, stats=None):
     """Batched carrier extension: ``gt.extended(count, atoms)`` per tuple."""
     out = []
     hits = 0
@@ -189,12 +202,12 @@ def extend_batch(tuples, count, atoms, token, stats=None):
     else:
         for gt in tuples:
             lvid, _, cid = gt.kernel_ids()
-            key = (token, lvid, cid)
-            cached = _EXTEND_CACHE.get(key, _UNSET)
+            key = (lvid, cid)
+            cached = cache.get(key, _UNSET)
             if cached is _UNSET:
                 result = gt.extended(count, atoms)
-                if len(_EXTEND_CACHE) < CACHE_CAP:
-                    _EXTEND_CACHE[key] = (
+                if len(cache) < CACHE_CAP:
+                    cache[key] = (
                         None if result is None else (result.lrps, result.constraints)
                     )
                 out.append(result)
@@ -211,7 +224,7 @@ def extend_batch(tuples, count, atoms, token, stats=None):
     return out
 
 
-def project_batch(tuples, keep_temporal, keep_data, shifts, token, stats=None):
+def project_batch(tuples, keep_temporal, keep_data, shifts, cache, stats=None):
     """Batched projection (+ post-projection column shifts).
 
     For each input tuple, yields the list ``gt.project(keep_temporal,
@@ -237,12 +250,12 @@ def project_batch(tuples, keep_temporal, keep_data, shifts, token, stats=None):
     else:
         for gt in tuples:
             lvid, _, cid = gt.kernel_ids()
-            key = (token, lvid, cid)
-            cached = _PROJECT_CACHE.get(key, _UNSET)
+            key = (lvid, cid)
+            cached = cache.get(key, _UNSET)
             if cached is _UNSET:
                 results = projected(gt)
-                if len(_PROJECT_CACHE) < CACHE_CAP:
-                    _PROJECT_CACHE[key] = [
+                if len(cache) < CACHE_CAP:
+                    cache[key] = [
                         (r.lrps, r.constraints) for r in results
                     ]
                 out.append(results)

@@ -105,15 +105,6 @@ def signature_id(signature):
     return _intern_signature(signature)
 
 
-def intern_id_stats():
-    """Sizes of the tuple-layer interning tables (for tests)."""
-    return {
-        "lrp_vectors": len(_LRP_IDS),
-        "signatures": len(_SIGNATURES),
-        "cap": _ID_CAP,
-    }
-
-
 @dataclass(frozen=True)
 class AlignedTuple:
     """A generalized tuple whose columns share one period ``L`` and

@@ -11,7 +11,8 @@ reader never has to pair begin/end lines (round events do carry a
 
 :class:`ProfileCollector` is the aggregating sibling: it folds
 ``plan.operator`` events into per-operator totals (invocations, input
-and output cardinalities, wall time), keyed by clause and step — the
+and output cardinalities, wall time), plus the join pairs examined
+from ``kernel.batch`` events, keyed by clause and step — the
 data behind ``repro explain --profile`` and the plan benchmark's
 operator table.  Events from shard workers arrive pre-aggregated
 (``aggregated: True`` with a ``count`` of folded invocations — see
@@ -100,33 +101,53 @@ class ProfileCollector:
         self.rounds = {}
         self._current_round = None
 
+    #: ``kernel.batch`` fast paths that are not joins: their rows keep
+    #: ``pairs`` None.
+    NOT_JOINS = ("carrier", "projection")
+
+    def _entry(self, fields):
+        key = (
+            fields.get("clause"),
+            fields.get("variant"),
+            fields.get("step"),
+        )
+        entry = self.operators.get(key)
+        if entry is None:
+            entry = self.operators[key] = {
+                "clause": fields.get("clause"),
+                "variant": fields.get("variant"),
+                "step": fields.get("step"),
+                "op": fields.get("op"),
+                "predicate": fields.get("predicate"),
+                "invocations": 0,
+                "input_tuples": 0,
+                "output_tuples": 0,
+                "pairs": None,
+                "seconds": 0.0,
+            }
+        return entry
+
     def __call__(self, kind, fields):
         if kind == "engine.round":
             if fields.get("phase") == "begin":
                 with self._lock:
                     self._current_round = fields.get("round")
             return
+        if kind == "kernel.batch":
+            if fields.get("fast_path") in self.NOT_JOINS:
+                return
+            with self._lock:
+                entry = self._entry(fields)
+                entry["pairs"] = (entry["pairs"] or 0) + fields.get("size", 0)
+            return
         if kind != "plan.operator":
             return
-        key = (
-            fields.get("clause"),
-            fields.get("variant"),
-            fields.get("step"),
-        )
         with self._lock:
-            entry = self.operators.get(key)
-            if entry is None:
-                entry = self.operators[key] = {
-                    "clause": fields.get("clause"),
-                    "variant": fields.get("variant"),
-                    "step": fields.get("step"),
-                    "op": fields.get("op"),
-                    "predicate": fields.get("predicate"),
-                    "invocations": 0,
-                    "input_tuples": 0,
-                    "output_tuples": 0,
-                    "seconds": 0.0,
-                }
+            entry = self._entry(fields)
+            entry["op"] = fields.get("op")
+            entry["predicate"] = fields.get("predicate")
+            if entry["pairs"] is None and entry["op"] in ("join", "anti-join"):
+                entry["pairs"] = 0
             entry["invocations"] += fields.get("count", 1)
             entry["input_tuples"] += fields.get("in", 0)
             entry["output_tuples"] += fields.get("out", 0)

@@ -186,6 +186,7 @@ def compile_variant(normalized, seed_position=None):
                 placed[k] = True
 
     def emit_join(position, atom, negated):
+        width = len(columns)
         data_base = len(data_names)
         names = []
         seen = {}
@@ -222,6 +223,7 @@ def compile_variant(normalized, seed_position=None):
         data_names.extend(names)
         steps.append(step)
         settle(step)
+        step.link_residues(width)
 
     def score(position, atom):
         would_bound = bound | {term.var for term in atom.temporal_args}

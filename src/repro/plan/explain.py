@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.constraints.atoms import TemporalTerm
 from repro.plan.operators import CarrierStep
 
 
-def _format_step(step, number):
+def _format_step(step, number, width):
     if isinstance(step, CarrierStep):
         line = "%d. carriers [%s]" % (number, ", ".join(step.names))
     else:
@@ -32,6 +33,11 @@ def _format_step(step, number):
             details.append("data[%d] = data[%d]" % (first, dup))
         for bound, local in step.match_pairs:
             details.append("match col %d ~ data[%d]" % (bound, local))
+        for a_col, b_col, k in step.residue_links:
+            details.append(
+                "residue %s ~ %s"
+                % (TemporalTerm(width + b_col), TemporalTerm(a_col, k))
+            )
         if details:
             line += " where " + ", ".join(details)
     if step.atoms:
@@ -42,8 +48,11 @@ def _format_step(step, number):
 def format_variant(variant, label):
     """Render one compiled pipeline as indented text lines."""
     lines = ["  plan %s:" % label]
+    width = 0
     for number, step in enumerate(variant.steps, 1):
-        lines.append("    " + _format_step(step, number))
+        lines.append("    " + _format_step(step, number, width))
+        added = step.names if isinstance(step, CarrierStep) else step.temporal_vars
+        width += len(added)
     joins = [
         "%s %s" % (step.predicate, step.fast_path)
         for step in variant.steps

@@ -8,9 +8,10 @@ working set of :class:`~repro.gdb.tuple.GeneralizedTuple`:
   complement — negation as anti-join).  Within-atom data-constant and
   data-equality selections are applied to the source relation first
   (and cached per source relation), cross-atom data-variable sharing
-  is enforced through hash buckets, and every constraint atom whose
-  columns are bound by this step is conjoined into the pair's zone in
-  the same single closure (:meth:`GeneralizedTuple.joined`).
+  and fixed temporal offsets (residue links) are enforced through hash
+  buckets, and every constraint atom whose columns are bound by this
+  step is conjoined into the pair's zone in the same single closure
+  (:meth:`GeneralizedTuple.joined`).
 * :class:`CarrierStep` appends unconstrained carrier columns for
   temporal variables no atom binds (head constants and offsets,
   constraint-only variables) and conjoins the constraint atoms that
@@ -27,6 +28,7 @@ resolution happens at compile time, execution touches only integers.
 
 from __future__ import annotations
 
+import math
 import time
 
 from repro.gdb import kernel
@@ -50,8 +52,12 @@ class JoinStep:
         "eq_sels",
         "match_pairs",
         "atoms",
-        "token",
+        "residue_links",
+        "_templates",
+        "_select_templates",
         "_cache",
+        "_source_gcds",
+        "_index",
     )
 
     def __init__(self, position, predicate, negated, temporal_vars, data_names,
@@ -65,20 +71,113 @@ class JoinStep:
         self.eq_sels = tuple(eq_sels)          # (local first col, local dup col)
         self.match_pairs = tuple(match_pairs)  # (global bound col, local col)
         self.atoms = ()                        # Comparisons, combined column space
-        self.token = kernel.next_token()       # template-cache keyspace
+        self.residue_links = ()                # (working col, local col, k)
+        self._templates = kernel.template_cache("join")
+        self._select_templates = kernel.template_cache("select")
         self._cache = None                     # (source relation, restricted tuples)
+        self._source_gcds = None               # (source relation, gcd per link)
+        self._index = None                     # (source relation, moduli, buckets)
 
     @property
     def fast_path(self):
         """The join strategy this step executes: ``hash`` when shared
-        data variables bucket the source, ``fused-closure`` when only
+        data variables bucket the source, ``residue`` when pushed-down
+        offsets ``T_b = T_a + k`` bucket it by lrp residue (the two
+        combine as ``hash+residue``), ``fused-closure`` when only other
         pushed-down constraint atoms refine the pairs (one closure per
         distinct template), ``product`` otherwise."""
         if self.match_pairs:
-            return "hash"
+            return "hash+residue" if self.residue_links else "hash"
+        if self.residue_links:
+            return "residue"
         if self.atoms:
             return "fused-closure"
         return "product"
+
+    def link_residues(self, width):
+        """Record the residue links among this step's atoms, given the
+        working set's temporal ``width`` before the step: every
+        ``T_b = T_a + k`` with ``T_a`` a working-set column and ``T_b``
+        a column of the source atom (stored by its local index)."""
+        links = []
+        for atom in self.atoms:
+            left, right = atom.left, atom.right
+            if atom.op != "=" or left.var is None or right.var is None:
+                continue
+            # left.var + left.const = right.var + right.const
+            for (a, ca), (b, cb) in (
+                ((left.var, left.const), (right.var, right.const)),
+                ((right.var, right.const), (left.var, left.const)),
+            ):
+                if a < width <= b:
+                    links.append((a, b - width, ca - cb))
+        self.residue_links = tuple(links)
+
+    def _moduli(self, current, relation, tuples):
+        """Per residue link, the gcd of every period in its two
+        columns; links whose gcd is 1 cannot separate any pair.  The
+        source side is computed once per source relation."""
+        cached = self._source_gcds
+        if cached is None or cached[0] is not relation:
+            cached = self._source_gcds = (
+                relation,
+                tuple(
+                    math.gcd(*{b.lrps[b_col].period for b in tuples})
+                    for _, b_col, _ in self.residue_links
+                ),
+            )
+        moduli = []
+        for (a_col, b_col, k), g in zip(self.residue_links, cached[1]):
+            g = math.gcd(g, *{a.lrps[a_col].period for a in current})
+            if g > 1:
+                moduli.append((a_col, b_col, k, g))
+        return tuple(moduli)
+
+    def _buckets(self, relation, tuples, moduli):
+        """The source tuples bucketed by data key plus residue key, in
+        source order, cached per source relation and moduli: an EDB
+        relation, or one unchanged since the last round, is joined
+        again as is."""
+        cached = self._index
+        if cached is not None and cached[0] is relation and cached[1] == moduli:
+            return cached[2]
+        local_cols = [local for (_, local) in self.match_pairs]
+        buckets = {}
+        for b in tuples:
+            data, lrps = b.data, b.lrps
+            key = tuple(
+                [data[c] for c in local_cols]
+                + [lrps[b_col].offset % g for _, b_col, _, g in moduli]
+            )
+            buckets.setdefault(key, []).append(b)
+        self._index = (relation, moduli, buckets)
+        return buckets
+
+    def _pairs(self, current, relation, tuples):
+        """The pairs the join closes, outer loop over ``current`` and
+        source order within.  Shared data variables must match, and by
+        the lrp intersection rule (Section 2.1: ``a·n+b`` and ``c·m+d``
+        meet only if ``b ≡ d (mod gcd(a, c))``) a residue link ``T_b =
+        T_a + k`` needs ``off_b ≡ off_a + k (mod g)``; every pair either
+        test drops is one :meth:`GeneralizedTuple.joined` returns None
+        for."""
+        moduli = (
+            self._moduli(current, relation, tuples) if self.residue_links else ()
+        )
+        if not self.match_pairs and not moduli:
+            return [(a, b) for a in current for b in tuples]
+        buckets = self._buckets(relation, tuples, moduli)
+        bound_cols = [bound for (bound, _) in self.match_pairs]
+        pairs = []
+        for a in current:
+            data, lrps = a.data, a.lrps
+            key = tuple(
+                [data[c] for c in bound_cols]
+                + [(lrps[a_col].offset + k) % g for a_col, _, k, g in moduli]
+            )
+            for b in buckets.get(key, ()):
+                pairs.append((a, b))
+        return pairs
 
     def source_tuples(self, relation):
         """The source tuples after within-atom selections, cached per
@@ -116,39 +215,28 @@ class JoinStep:
                 if stats is not None:
                     stats["size"] = stats.get("size", 0) + len(tuples)
                 return tuples if type(tuples) is list else list(tuples)
-            refined = kernel.select_batch(tuples, self.atoms, self.token, stats)
+            refined = kernel.select_batch(
+                tuples, self.atoms, self._select_templates, stats
+            )
             return [gt for gt in refined if gt is not None]
-        if self.match_pairs:
-            local_cols = [local for (_, local) in self.match_pairs]
-            buckets = {}
-            for b in tuples:
-                key = tuple(b.data[c] for c in local_cols)
-                buckets.setdefault(key, []).append(b)
-            bound_cols = [bound for (bound, _) in self.match_pairs]
-            pairs = []
-            for a in current:
-                key = tuple(a.data[c] for c in bound_cols)
-                for b in buckets.get(key, ()):
-                    pairs.append((a, b))
-        else:
-            pairs = [(a, b) for a in current for b in tuples]
-        joined = kernel.join_batch(pairs, self.atoms, self.token, stats)
+        pairs = self._pairs(current, relation, tuples)
+        joined = kernel.join_batch(pairs, self.atoms, self._templates, stats)
         return [gt for gt in joined if gt is not None]
 
 
 class CarrierStep:
     """Append unconstrained carrier columns and conjoin constraints."""
 
-    __slots__ = ("names", "atoms", "token")
+    __slots__ = ("names", "atoms", "_templates")
 
     def __init__(self, names, atoms):
         self.names = tuple(names)
         self.atoms = tuple(atoms)
-        self.token = kernel.next_token()
+        self._templates = kernel.template_cache("extend")
 
     def apply(self, current, stats=None):
         extended = kernel.extend_batch(
-            current, len(self.names), self.atoms, self.token, stats
+            current, len(self.names), self.atoms, self._templates, stats
         )
         return [gt for gt in extended if gt is not None]
 
@@ -169,7 +257,7 @@ class Projection:
         "constant_slots",
         "head_schema",
         "sheared",
-        "token",
+        "_templates",
     )
 
     def __init__(self, keep_temporal, shifts, keep_data, constant_slots,
@@ -184,7 +272,7 @@ class Projection:
             for position, offset in enumerate(self.shifts)
             if offset
         )
-        self.token = kernel.next_token()
+        self._templates = kernel.template_cache("project")
 
     def apply(self, current, stats=None):
         temporal_arity, data_arity = self.head_schema
@@ -192,7 +280,7 @@ class Projection:
         slots = dict(self.constant_slots)
         batches = kernel.project_batch(
             current, self.keep_temporal, self.keep_data, self.sheared,
-            self.token, stats,
+            self._templates, stats,
         )
         for projected_batch in batches:
             for projected in projected_batch:

@@ -200,7 +200,7 @@ class TestOtherCommands:
         assert "plan semi-naive, delta @ body position 0:" in output
         assert "scan course" in output
         # Each variant reports the join fast path the kernel will take
-        # (hash / fused-closure / product).
+        # (hash / residue / hash+residue / fused-closure / product).
         assert "fast path: course product" in output
         assert "plan fingerprint:" in output
 
@@ -213,6 +213,50 @@ class TestOtherCommands:
         assert report["command"] == "explain"
         assert len(report["plan_fingerprint"]) == 64
         assert "scan" in report["plans"]
+
+    def test_explain_residue_join(self, tmp_path):
+        # The E14 self-join links its two atoms by T2 = T1: a residue
+        # join, rendered with its link.
+        program = tmp_path / "meet.dtl"
+        program.write_text(
+            "p(t; X) <- seed(t; X).\n"
+            "p(t + 10; X) <- p(t; X).\n"
+            "meet(t; X, Y) <- p(t; X), p(t; Y).\n"
+        )
+        edb = tmp_path / "meet.gdb"
+        edb.write_text('relation seed[1; 1] { (24n+2; "a"); (24n+9; "b"); }\n')
+        code, output = run_cli(["explain", str(program), "--edb", str(edb)])
+        assert code == 0
+        assert "2. scan p -> [_b1] where residue T2 ~ T1 apply T2 = T1" in output
+        assert "fast path: p product, p residue" in output
+
+    def test_explain_profile_pairs_column(self, tmp_path):
+        program = tmp_path / "meet.dtl"
+        program.write_text(
+            "p(t; X) <- seed(t; X).\n"
+            "p(t + 10; X) <- p(t; X).\n"
+            "meet(t; X, Y) <- p(t; X), p(t; Y).\n"
+        )
+        edb = tmp_path / "meet.gdb"
+        edb.write_text('relation seed[1; 1] { (24n+2; "a"); (24n+9; "b"); }\n')
+        argv = ["explain", str(program), "--edb", str(edb), "--profile"]
+        code, output = run_cli(argv)
+        assert code == 0
+        header = [line for line in output.splitlines() if line.startswith("op ")]
+        assert header and header[0].split()[:7] == [
+            "op", "variant", "step", "calls", "in", "pairs", "out",
+        ]
+        code, output = run_cli(argv + ["--json"])
+        rows = json.loads(output)["profile"]["operators"]
+        meet_joins = [
+            row for row in rows
+            if row["clause"].startswith("meet") and row["op"] == "join"
+        ]
+        # Pairs examined == pairs emitted: every class meets only itself.
+        assert sum(row["pairs"] for row in meet_joins) == sum(
+            row["output_tuples"] for row in meet_joins
+        ) > 0
+        assert all(row["pairs"] is None for row in rows if row["op"] == "projection")
 
     def test_parse_error_exit_code(self, files, tmp_path):
         bad = tmp_path / "bad.dtl"

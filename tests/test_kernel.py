@@ -6,6 +6,8 @@ they replace (the kernel-off ablation), including the alignment rule
 that an unsatisfiable result appears as None in the output list.
 """
 
+import gc
+
 import pytest
 
 from repro.constraints.atoms import Comparison, TemporalTerm
@@ -143,10 +145,14 @@ class TestBatchOps:
         ]
         atoms = [Comparison(">=", TemporalTerm(0), TemporalTerm(None, 5))]
         with kernel.configured(False):
-            expected = kernel.select_batch(tuples, atoms, kernel.next_token())
+            expected = kernel.select_batch(
+                tuples, atoms, kernel.template_cache("select")
+            )
         stats = {}
         with kernel.configured(True):
-            got = kernel.select_batch(tuples, atoms, kernel.next_token(), stats)
+            got = kernel.select_batch(
+                tuples, atoms, kernel.template_cache("select"), stats
+            )
         assert _keys(got) == _keys(expected)
         assert stats["size"] == 3
         assert stats["hits"] == 1
@@ -155,10 +161,10 @@ class TestBatchOps:
         pairs = [(_gt(1), _gt(3, "y")), (_gt(1), _gt(3, "z")), (_gt(2), _gt(4, "y"))]
         atoms = [Comparison("=", TemporalTerm(1), TemporalTerm(0, 2))]
         with kernel.configured(False):
-            expected = kernel.join_batch(pairs, atoms, kernel.next_token())
+            expected = kernel.join_batch(pairs, atoms, kernel.template_cache("join"))
         stats = {}
         with kernel.configured(True):
-            got = kernel.join_batch(pairs, atoms, kernel.next_token(), stats)
+            got = kernel.join_batch(pairs, atoms, kernel.template_cache("join"), stats)
         assert _keys(got) == _keys(expected)
         # The second pair shares both operands' (lvid, cid) ids with the
         # first — data columns differ but the temporal template is shared.
@@ -171,7 +177,7 @@ class TestBatchOps:
         pairs = [(_gt(1), _gt(1, "y"))] * 3
         stats = {}
         with kernel.configured(True):
-            got = kernel.join_batch(pairs, atoms, kernel.next_token(), stats)
+            got = kernel.join_batch(pairs, atoms, kernel.template_cache("join"), stats)
         assert got == [None, None, None]
         assert stats["hits"] == 2
 
@@ -179,10 +185,14 @@ class TestBatchOps:
         tuples = [_gt(1), _gt(1), _gt(7)]
         atoms = [Comparison("=", TemporalTerm(1), TemporalTerm(0, 2))]
         with kernel.configured(False):
-            expected = kernel.extend_batch(tuples, 1, atoms, kernel.next_token())
+            expected = kernel.extend_batch(
+                tuples, 1, atoms, kernel.template_cache("extend")
+            )
         stats = {}
         with kernel.configured(True):
-            got = kernel.extend_batch(tuples, 1, atoms, kernel.next_token(), stats)
+            got = kernel.extend_batch(
+                tuples, 1, atoms, kernel.template_cache("extend"), stats
+            )
         assert _keys(got) == _keys(expected)
         assert got[0].temporal_arity == 2
         assert stats["hits"] == 1
@@ -196,12 +206,12 @@ class TestBatchOps:
         tuples = [wide, wide]
         with kernel.configured(False):
             expected = kernel.project_batch(
-                tuples, (0,), (1,), ((0, 2),), kernel.next_token()
+                tuples, (0,), (1,), ((0, 2),), kernel.template_cache("project")
             )
         stats = {}
         with kernel.configured(True):
             got = kernel.project_batch(
-                tuples, (0,), (1,), ((0, 2),), kernel.next_token(), stats
+                tuples, (0,), (1,), ((0, 2),), kernel.template_cache("project"), stats
             )
         assert [_keys(results) for results in got] == [
             _keys(results) for results in expected
@@ -220,6 +230,16 @@ class TestBatchOps:
     def test_cache_stats_shape(self):
         stats = kernel.cache_stats()
         assert set(stats) == {"join", "select", "extend", "project", "cap"}
+
+    def test_cache_stats_count_live_step_caches_only(self):
+        gc.collect()
+        before = kernel.cache_stats()
+        cache = kernel.template_cache("select")
+        cache[(0, 0)] = None
+        assert kernel.cache_stats()["select"] == before["select"] + 1
+        del cache
+        gc.collect()
+        assert kernel.cache_stats() == before
 
 
 class TestStoreGenerations:

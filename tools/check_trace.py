@@ -62,7 +62,15 @@ PHASE_FIELDS = {
 OPERATORS = {"join", "anti-join", "carrier", "projection"}
 
 #: legal fast_path values on kernel.batch events.
-FAST_PATHS = {"hash", "fused-closure", "product", "carrier", "projection"}
+FAST_PATHS = {
+    "hash",
+    "hash+residue",
+    "residue",
+    "fused-closure",
+    "product",
+    "carrier",
+    "projection",
+}
 
 
 def check(path, require_rounds=None, require_kinds=()):
