@@ -1,17 +1,18 @@
-"""Columnar-kernel benchmark: the batched kernel vs its per-tuple ablation.
+"""Columnar-kernel benchmark: the compiled backend vs the reference oracle.
 
-Times the E14 shift-cycle workload (semi-naive) with the columnar
-kernel enabled ("after") and disabled ("before" — the ablation runs
-the exact per-tuple loops the kernel replaced, approximating the
-pre-kernel evaluator), cross-checks model equivalence, and measures
-the shard dispatch payload: bytes of a relation broadcast in the old
-one-JSON-object-per-tuple form vs the column-batch form the shard pool
-now ships.  Results go to ``BENCH_kernel.json``::
+Times the E14 shift-cycle workload (semi-naive) through the compiled
+backend, whose plan operators run on the columnar batch kernel, and
+through the paper-literal ``evaluation="reference"`` oracle (the same
+comparison ``plan_bench.py`` makes), cross-checks model equivalence,
+and measures the shard dispatch payload: bytes of a relation broadcast
+in the old one-JSON-object-per-tuple form vs the column-batch form the
+shard pool now ships.  Results go to ``BENCH_kernel.json``::
 
     python benchmarks/kernel_bench.py              # full (E14 at 48 classes)
     python benchmarks/kernel_bench.py --quick      # CI smoke (E14 at 12)
-    python benchmarks/kernel_bench.py --check      # exit 1 unless the
-                                                   # kernel is >= 1.5x on E14
+    python benchmarks/kernel_bench.py --check      # exit 1 unless compiled
+                                                   # is >= 3.0x reference
+                                                   # on E14
 
 The ``report()`` hook makes ``python benchmarks/report.py kernel``
 regenerate the artifact alongside the experiment tables.
@@ -33,8 +34,12 @@ from workloads import shift_cycle_workload
 
 REPS = 5
 
-#: The regression gate of ``--check`` (CI kernel-bench-smoke job).
-CHECK_SPEEDUP = 1.5
+#: The regression gate of ``--check`` (CI kernel-bench-smoke job):
+#: compiled must be at least this many times faster than reference.
+#: The gate was 1.5x over a per-tuple kernel-off ablation; reference
+#: runs about 2x that ablation's time on quick E14, so 3.0x reference
+#: is the same bar restated.
+CHECK_SPEEDUP = 3.0
 
 
 def _best_run(make_engine):
@@ -49,12 +54,13 @@ def _best_run(make_engine):
     return best, model
 
 
-def _entry(program, edb, enabled):
-    """One configuration: best wall time plus run invariants."""
-    with kernel.configured(enabled):
-        wall_ms, model = _best_run(
-            lambda: DeductiveEngine(program, edb, strategy="semi-naive")
+def _entry(program, edb, evaluation):
+    """One backend: best wall time plus run invariants."""
+    wall_ms, model = _best_run(
+        lambda: DeductiveEngine(
+            program, edb, strategy="semi-naive", evaluation=evaluation
         )
+    )
     return model, {
         "wall_ms": round(wall_ms, 3),
         "rounds": model.stats.rounds,
@@ -64,21 +70,21 @@ def _entry(program, edb, enabled):
 
 
 def _e14(classes, shift=1):
-    """E14 before (kernel off) / after (kernel on), with an
-    equivalence cross-check between the two models."""
+    """E14 through compiled and reference, with an equivalence
+    cross-check between the two models."""
     program, edb = shift_cycle_workload(classes, shift)
-    before_model, before = _entry(program, edb, False)
-    after_model, after = _entry(program, edb, True)
-    for predicate in after_model.predicates():
-        assert after_model.relation(predicate).equivalent(
-            before_model.relation(predicate)
-        ), "kernel ablation disagrees on %r" % predicate
+    compiled_model, compiled = _entry(program, edb, "compiled")
+    reference_model, reference = _entry(program, edb, "reference")
+    for predicate in compiled_model.predicates():
+        assert compiled_model.relation(predicate).equivalent(
+            reference_model.relation(predicate)
+        ), "compiled and reference disagree on %r" % predicate
     return {
         "classes": classes,
         "shift": shift,
-        "before": before,
-        "after": after,
-        "speedup": round(before["wall_ms"] / after["wall_ms"], 2),
+        "compiled": compiled,
+        "reference": reference,
+        "speedup": round(reference["wall_ms"] / compiled["wall_ms"], 2),
     }
 
 
@@ -126,8 +132,8 @@ def report():
 
 
 def _print_summary(payload):
-    print("Columnar kernel — batched vs per-tuple ablation (wall ms, best of %d)" % REPS)
-    print("%28s %12s %12s %8s" % ("workload", "kernel on", "kernel off", "speedup"))
+    print("Columnar kernel — compiled vs reference (wall ms, best of %d)" % REPS)
+    print("%28s %12s %12s %8s" % ("workload", "compiled", "reference", "speedup"))
     for key, label in (
         ("e14_shift_cycle", "e14 %d classes shift 1"),
         ("e14_dense_shift", "e14 %d classes shift 5"),
@@ -137,8 +143,8 @@ def _print_summary(payload):
             "%28s %12.2f %12.2f %7.2fx"
             % (
                 label % entry["classes"],
-                entry["after"]["wall_ms"],
-                entry["before"]["wall_ms"],
+                entry["compiled"]["wall_ms"],
+                entry["reference"]["wall_ms"],
                 entry["speedup"],
             )
         )
@@ -162,8 +168,8 @@ def main(argv=None):
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail unless the kernel speeds up E14 by at least %.1fx "
-        "and the batch wire format is no larger than per-tuple"
+        help="fail unless compiled beats reference on E14 by at least "
+        "%.1fx and the batch wire format is no larger than per-tuple"
         % CHECK_SPEEDUP,
     )
     args = parser.parse_args(argv)
@@ -174,8 +180,8 @@ def main(argv=None):
         speedup = payload["e14_shift_cycle"]["speedup"]
         if speedup < CHECK_SPEEDUP:
             print(
-                "FAIL: kernel speedup %.2fx below the %.1fx gate on E14 "
-                "with %d classes"
+                "FAIL: compiled-vs-reference speedup %.2fx below the "
+                "%.1fx gate on E14 with %d classes"
                 % (speedup, CHECK_SPEEDUP, payload["e14_shift_cycle"]["classes"]),
                 file=sys.stderr,
             )

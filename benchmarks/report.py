@@ -136,13 +136,13 @@ def _parallel_lines(payload):
         ("coverage_cache_example41", "Example 4.1 naive"),
         ("coverage_cache_e14", "E14 naive"),
     ):
-        ablation = payload[key]
+        cache = payload[key]
         lines.append(
-            "- Coverage cache on %s: %d of %d `implied_by_union` calls "
-            "avoided." % (
+            "- Coverage cache on %s: %d of %d coverage tests answered "
+            "from the cache (`implied_by_union` calls avoided)." % (
                 label,
-                ablation["implied_by_union_saved"],
-                ablation["uncached"]["misses"],
+                cache["implied_by_union_saved"],
+                cache["coverage_tests"],
             )
         )
     return lines
@@ -152,13 +152,13 @@ def _kernel_lines(payload):
     e14 = payload["e14_shift_cycle"]
     dispatch = payload["dispatch"]
     return [
-        "- Columnar kernel vs per-tuple ablation on E14 (%d classes, "
+        "- Columnar kernel (compiled) vs reference on E14 (%d classes, "
         "semi-naive): **%.2fx** (%.2f ms vs %.2f ms)."
         % (
             e14["classes"],
             e14["speedup"],
-            e14["after"]["wall_ms"],
-            e14["before"]["wall_ms"],
+            e14["compiled"]["wall_ms"],
+            e14["reference"]["wall_ms"],
         ),
         "- Shard dispatch payload (%d tuples): column batches are "
         "**%.2fx** smaller than per-tuple JSON (%d B vs %d B)."

@@ -326,12 +326,6 @@ class DeductiveEngine:
         the downshift is recorded in ``stats.shard_degraded`` and as a
         ``shard.degraded`` event).  With False the loss raises
         :class:`~repro.util.errors.EvaluationAbortedError`.
-    coverage_cache:
-        Memoize coverage verdicts across rounds on the growing IDB
-        relations (default True; ``"paper"`` safety mode only).  The
-        cache changes which tests call ``implied_by_union`` — never
-        their outcome; pass False for the exact call-for-call
-        behavior of earlier releases.
 
     >>> from repro.core import DeductiveEngine, parse_program
     >>> from repro.gdb import parse_database
@@ -359,7 +353,6 @@ class DeductiveEngine:
         on_give_up="raise",
         evaluation="compiled",
         parallelism=1,
-        coverage_cache=True,
         shard_recv_deadline=None,
         shard_max_restarts=None,
         shard_fallback=True,
@@ -378,7 +371,6 @@ class DeductiveEngine:
         self.max_rounds = max_rounds
         self.patience = patience
         self.on_give_up = on_give_up
-        self.coverage_cache = bool(coverage_cache)
         self._covered = coverage_test(safety)
         self.evaluator = ProgramEvaluator(
             program,
@@ -407,10 +399,10 @@ class DeductiveEngine:
         derivation order invalidates old checkpoints instead of
         silently replaying differently.
 
-        ``parallelism`` and ``coverage_cache`` are deliberately *not*
-        hashed: neither changes a single derived tuple, so a checkpoint
-        written by a sequential run resumes under a parallel one (and
-        vice versa) with the same fingerprint."""
+        ``parallelism`` is deliberately *not* hashed: it changes no
+        derived tuple, so a checkpoint written by a sequential run
+        resumes under a parallel one (and vice versa) with the same
+        fingerprint."""
         return engine_fingerprint(
             str(self.program),
             str(self.edb),
@@ -460,7 +452,7 @@ class DeductiveEngine:
             self.evaluator.parallelism = 1
         started = time.perf_counter()
         meter = budget.start() if budget is not None else None
-        checker = CoverageChecker(self.safety, use_cache=self.coverage_cache)
+        checker = CoverageChecker(self.safety)
         env = self.evaluator.initial_environment()
         known_signatures = {
             name: free_signatures(env[name]) for name in self.evaluator.intensional
@@ -659,7 +651,6 @@ class DeductiveEngine:
             patience=self.patience,
             on_give_up=self.on_give_up,
             budget=budget,
-            coverage_cache=self.coverage_cache,
             widen_delay=(
                 DEFAULT_WIDEN_DELAY if widen_delay is None else widen_delay
             ),
@@ -707,7 +698,7 @@ class DeductiveEngine:
         stats.strata = 1
         started = time.perf_counter()
         meter = budget.start() if budget is not None else None
-        checker = CoverageChecker(self.safety, use_cache=self.coverage_cache)
+        checker = CoverageChecker(self.safety)
         env = self.evaluator.initial_environment()
         for name, relation in relations.items():
             if name not in self.evaluator.intensional:
@@ -866,7 +857,7 @@ class DeductiveEngine:
         if last_growth is None:
             last_growth = stats.rounds
         if checker is None:
-            checker = CoverageChecker(self.safety, use_cache=self.coverage_cache)
+            checker = CoverageChecker(self.safety)
         parallel = self.evaluator.parallel_active()
         pending_update = None
         if parallel:
@@ -1066,7 +1057,7 @@ class DeductiveEngine:
         result)."""
         limit = max_rounds or self.max_rounds
         meter = budget.start() if budget is not None else None
-        checker = CoverageChecker(self.safety, use_cache=self.coverage_cache)
+        checker = CoverageChecker(self.safety)
         env = self.evaluator.initial_environment()
         round_number = 0
         for evaluators in self.evaluator.stratum_evaluators:

@@ -22,7 +22,6 @@ union of all same-data tuples, regardless of free-extension matching.
 
 from __future__ import annotations
 
-from repro.gdb import kernel
 from repro.util.hooks import fault_point
 
 
@@ -43,10 +42,7 @@ def covered_paper(gt, relation, snapshot=None):
 
 
 def _covered_paper_uncached(gt, relation):
-    if kernel.ENABLED:
-        candidates = relation.tuples_with_signature_id(gt.kernel_ids()[1])
-    else:
-        candidates = relation.tuples_with_signature(gt.free_signature())
+    candidates = relation.tuples_with_signature_id(gt.kernel_ids()[1])
     same_signature = [existing.constraints for existing in candidates]
     if not same_signature:
         return False
@@ -86,27 +82,28 @@ def coverage_test(mode):
 class CoverageChecker:
     """The engine's per-run coverage test, with the cross-round cache.
 
-    In ``"paper"`` mode with ``use_cache`` the checker memoizes each
-    verdict on the relation's :meth:`~repro.gdb.relation.
-    GeneralizedRelation.coverage_cache`, keyed by the derived tuple's
-    free signature and constraint canonical key.  Because the engine's
-    relations grow monotonically (``with_tuples`` carries the cache
-    forward, dropping only the stale negatives of touched signatures),
-    a tuple re-derived in a later round — the common case on the road
-    to the fixpoint — answers from the memo without touching
-    ``implied_by_union`` at all.
+    In ``"paper"`` mode the checker memoizes each verdict on the
+    relation's :meth:`~repro.gdb.relation.GeneralizedRelation.
+    coverage_cache`, keyed by the derived tuple's interned
+    ``row_key`` (free-signature id, constraint id).  Because the
+    engine's relations grow monotonically (``with_tuples`` carries the
+    cache forward, dropping only the stale negatives of touched
+    signatures), a tuple re-derived in a later round — the common case
+    on the road to the fixpoint — answers from the memo without
+    touching ``implied_by_union`` at all.  The ``"semantic"`` test is
+    not memoized; :attr:`use_cache` records which mode caches.
 
-    ``hits``/``misses`` count memo outcomes (with the cache off, every
-    test is a miss); the engine emits them per round as
+    ``hits``/``misses`` count memo outcomes (in ``"semantic"`` mode
+    every test is a miss); the engine emits them per round as
     ``coverage.cache`` events on the observability bus.  The
-    ``coverage`` fault-injection site fires once per test either way,
-    so fault plans behave identically with the cache on or off.
+    ``coverage`` fault-injection site fires once per test in either
+    mode.
     """
 
-    def __init__(self, mode="paper", use_cache=True):
+    def __init__(self, mode="paper"):
         coverage_test(mode)  # validate the mode name eagerly
         self.mode = mode
-        self.use_cache = bool(use_cache) and mode == "paper"
+        self.use_cache = mode == "paper"
         self.hits = 0
         self.misses = 0
 
@@ -119,18 +116,11 @@ class CoverageChecker:
                 relation.tuples if snapshot is None else snapshot
             )
             return all(piece.is_empty() for piece in remaining)
-        if not self.use_cache:
-            self.misses += 1
-            return _covered_paper_uncached(gt, relation)
-        if kernel.ENABLED:
-            # Interned ids: the (sid, cid) pair identifies exactly the
-            # same equivalence class as (signature, canonical key) —
-            # equal sids force equal arity, equal cids equal zones —
-            # but compares as two ints.
-            signature, key = gt.row_key()
-        else:
-            signature = gt.free_signature()
-            key = gt.constraints.canonical_key()
+        # Interned ids: the (sid, cid) pair identifies exactly the
+        # same equivalence class as (signature, canonical key) — equal
+        # sids force equal arity, equal cids equal zones — but
+        # compares as two ints.
+        signature, key = gt.row_key()
         cache = relation.coverage_cache()
         verdicts = cache.get(signature)
         if verdicts is not None:
@@ -147,22 +137,17 @@ class CoverageChecker:
 
     def sweep(self, derived, env):
         """One acceptance sweep over a round's derived tuples: dedup
-        within the round (by interned ``row_key`` under the kernel,
-        by canonical key otherwise — the same equivalence classes),
-        test coverage once per distinct tuple against the predicate's
-        current relation, and return the fresh (uncovered) tuples per
-        predicate in derivation order."""
+        within the round (by interned ``row_key``), test coverage once
+        per distinct tuple against the predicate's current relation,
+        and return the fresh (uncovered) tuples per predicate in
+        derivation order."""
         fresh = {}
         seen_keys = set()
-        use_ids = kernel.ENABLED
         for predicate, tuples in derived.items():
             relation = env[predicate]
             snapshot = relation.tuples  # one snapshot per sweep
             for gt in tuples:
-                key = (
-                    predicate,
-                    gt.row_key() if use_ids else gt.canonical_key(),
-                )
+                key = (predicate, gt.row_key())
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)

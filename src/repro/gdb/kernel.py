@@ -25,27 +25,16 @@ part of every key implicitly and the cache lives exactly as long as
 the compiled plan: a discarded engine frees its templates with it.
 Keys are the operands' ids alone.
 
-:data:`ENABLED` is the ablation switch: with the kernel disabled every
-batch helper degrades to the exact per-tuple loop it replaced, and the
-tuple-layer fast paths (memoized emptiness, identity permutation,
-unchanged-equality-propagation) turn off too — this approximates the
-pre-kernel evaluator and is what ``benchmarks/kernel_bench.py``
-records as the *before* measurement.
-
-The kernel deliberately imports nothing from the gdb modules: results
-are rebuilt via ``type(operand)(…)``, so :mod:`repro.gdb.tuple` can
-import the flag without a cycle.
+The kernel imports nothing from the gdb modules: results are rebuilt
+via ``type(operand)(…)``.  Its exactness oracle is the paper-literal
+``evaluation="reference"`` path (:mod:`repro.plan.reference`), which
+never calls a batch helper.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-
-#: Master switch for the batch kernel and the tuple-layer fast paths.
-#: Flip via :class:`configured` (tests, benchmarks) rather than by
-#: assignment.
-ENABLED = True
 
 #: Entries one step's template cache holds at most; past it, that
 #: step's batch helpers keep computing per-tuple without caching new
@@ -81,25 +70,6 @@ def template_cache(kind):
     return cache
 
 
-class configured:
-    """Context manager flipping :data:`ENABLED` (ablation / tests)."""
-
-    def __init__(self, enabled):
-        self.enabled = enabled
-        self._saved = None
-
-    def __enter__(self):
-        global ENABLED
-        self._saved = ENABLED
-        ENABLED = self.enabled
-        return self
-
-    def __exit__(self, *exc_info):
-        global ENABLED
-        ENABLED = self._saved
-        return False
-
-
 def cache_stats():
     """Entries held by the live template caches, summed per kind, and
     the per-step cap (for tests/benchmarks)."""
@@ -119,7 +89,7 @@ def cache_stats():
 # fold those counters into ``kernel.batch`` observability events.  All
 # helpers preserve input order exactly and represent a dropped
 # (unsatisfiable) result as None in the aligned output list, matching
-# the per-tuple code they replace.
+# the per-tuple methods they call on a cache miss.
 
 
 def join_batch(pairs, atoms, cache, stats=None):
@@ -131,29 +101,25 @@ def join_batch(pairs, atoms, cache, stats=None):
     """
     out = []
     hits = 0
-    if not ENABLED:
-        for a, b in pairs:
-            out.append(a.joined(b, atoms))
-    else:
-        for a, b in pairs:
-            alv, _, acid = a.kernel_ids()
-            blv, _, bcid = b.kernel_ids()
-            key = (alv, acid, blv, bcid)
-            cached = cache.get(key, _UNSET)
-            if cached is _UNSET:
-                result = a.joined(b, atoms)
-                if len(cache) < CACHE_CAP:
-                    cache[key] = (
-                        None if result is None else (result.lrps, result.constraints)
-                    )
-                out.append(result)
+    for a, b in pairs:
+        alv, _, acid = a.kernel_ids()
+        blv, _, bcid = b.kernel_ids()
+        key = (alv, acid, blv, bcid)
+        cached = cache.get(key, _UNSET)
+        if cached is _UNSET:
+            result = a.joined(b, atoms)
+            if len(cache) < CACHE_CAP:
+                cache[key] = (
+                    None if result is None else (result.lrps, result.constraints)
+                )
+            out.append(result)
+        else:
+            hits += 1
+            if cached is None:
+                out.append(None)
             else:
-                hits += 1
-                if cached is None:
-                    out.append(None)
-                else:
-                    lrps, constraints = cached
-                    out.append(type(a)(lrps, a.data + b.data, constraints))
+                lrps, constraints = cached
+                out.append(type(a)(lrps, a.data + b.data, constraints))
     if stats is not None:
         stats["size"] = stats.get("size", 0) + len(pairs)
         stats["hits"] = stats.get("hits", 0) + hits
@@ -164,28 +130,24 @@ def select_batch(tuples, atoms, cache, stats=None):
     """Batched selection: ``gt.conjoined(atoms)`` per tuple."""
     out = []
     hits = 0
-    if not ENABLED:
-        for gt in tuples:
-            out.append(gt.conjoined(atoms))
-    else:
-        for gt in tuples:
-            lvid, _, cid = gt.kernel_ids()
-            key = (lvid, cid)
-            cached = cache.get(key, _UNSET)
-            if cached is _UNSET:
-                result = gt.conjoined(atoms)
-                if len(cache) < CACHE_CAP:
-                    cache[key] = (
-                        None if result is None else (result.lrps, result.constraints)
-                    )
-                out.append(result)
+    for gt in tuples:
+        lvid, _, cid = gt.kernel_ids()
+        key = (lvid, cid)
+        cached = cache.get(key, _UNSET)
+        if cached is _UNSET:
+            result = gt.conjoined(atoms)
+            if len(cache) < CACHE_CAP:
+                cache[key] = (
+                    None if result is None else (result.lrps, result.constraints)
+                )
+            out.append(result)
+        else:
+            hits += 1
+            if cached is None:
+                out.append(None)
             else:
-                hits += 1
-                if cached is None:
-                    out.append(None)
-                else:
-                    lrps, constraints = cached
-                    out.append(type(gt)(lrps, gt.data, constraints))
+                lrps, constraints = cached
+                out.append(type(gt)(lrps, gt.data, constraints))
     if stats is not None:
         stats["size"] = stats.get("size", 0) + len(tuples)
         stats["hits"] = stats.get("hits", 0) + hits
@@ -196,28 +158,24 @@ def extend_batch(tuples, count, atoms, cache, stats=None):
     """Batched carrier extension: ``gt.extended(count, atoms)`` per tuple."""
     out = []
     hits = 0
-    if not ENABLED:
-        for gt in tuples:
-            out.append(gt.extended(count, atoms))
-    else:
-        for gt in tuples:
-            lvid, _, cid = gt.kernel_ids()
-            key = (lvid, cid)
-            cached = cache.get(key, _UNSET)
-            if cached is _UNSET:
-                result = gt.extended(count, atoms)
-                if len(cache) < CACHE_CAP:
-                    cache[key] = (
-                        None if result is None else (result.lrps, result.constraints)
-                    )
-                out.append(result)
+    for gt in tuples:
+        lvid, _, cid = gt.kernel_ids()
+        key = (lvid, cid)
+        cached = cache.get(key, _UNSET)
+        if cached is _UNSET:
+            result = gt.extended(count, atoms)
+            if len(cache) < CACHE_CAP:
+                cache[key] = (
+                    None if result is None else (result.lrps, result.constraints)
+                )
+            out.append(result)
+        else:
+            hits += 1
+            if cached is None:
+                out.append(None)
             else:
-                hits += 1
-                if cached is None:
-                    out.append(None)
-                else:
-                    lrps, constraints = cached
-                    out.append(type(gt)(lrps, gt.data, constraints))
+                lrps, constraints = cached
+                out.append(type(gt)(lrps, gt.data, constraints))
     if stats is not None:
         stats["size"] = stats.get("size", 0) + len(tuples)
         stats["hits"] = stats.get("hits", 0) + hits
@@ -244,27 +202,21 @@ def project_batch(tuples, keep_temporal, keep_data, shifts, cache, stats=None):
                 results = [r.shift_column(column, delta) for r in results]
         return results
 
-    if not ENABLED:
-        for gt in tuples:
-            out.append(projected(gt))
-    else:
-        for gt in tuples:
-            lvid, _, cid = gt.kernel_ids()
-            key = (lvid, cid)
-            cached = cache.get(key, _UNSET)
-            if cached is _UNSET:
-                results = projected(gt)
-                if len(cache) < CACHE_CAP:
-                    cache[key] = [
-                        (r.lrps, r.constraints) for r in results
-                    ]
-                out.append(results)
-            else:
-                hits += 1
-                data = tuple(gt.data[k] for k in keep_data)
-                out.append(
-                    [type(gt)(lrps, data, constraints) for lrps, constraints in cached]
-                )
+    for gt in tuples:
+        lvid, _, cid = gt.kernel_ids()
+        key = (lvid, cid)
+        cached = cache.get(key, _UNSET)
+        if cached is _UNSET:
+            results = projected(gt)
+            if len(cache) < CACHE_CAP:
+                cache[key] = [(r.lrps, r.constraints) for r in results]
+            out.append(results)
+        else:
+            hits += 1
+            data = tuple(gt.data[k] for k in keep_data)
+            out.append(
+                [type(gt)(lrps, data, constraints) for lrps, constraints in cached]
+            )
     if stats is not None:
         stats["size"] = stats.get("size", 0) + len(tuples)
         stats["hits"] = stats.get("hits", 0) + hits

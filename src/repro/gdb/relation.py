@@ -15,9 +15,8 @@ import itertools
 
 from repro.constraints.dbm import Dbm, INF
 from repro.constraints.system import ConstraintSystem
-from repro.gdb import kernel
 from repro.gdb.store import ColumnStore
-from repro.gdb.tuple import GeneralizedTuple, signature_id
+from repro.gdb.tuple import GeneralizedTuple
 from repro.lrp.point import Lrp
 from repro.util.errors import SchemaError
 
@@ -42,9 +41,6 @@ class GeneralizedRelation:
         "temporal_arity",
         "data_arity",
         "tuples",
-        "_data_indexes",
-        "_sig_index",
-        "_coverage_cache",
         "_store",
         "coverage_generation",
     )
@@ -53,9 +49,6 @@ class GeneralizedRelation:
         self.temporal_arity = temporal_arity
         self.data_arity = data_arity
         self.tuples = tuple(tuples)
-        self._data_indexes = None
-        self._sig_index = None
-        self._coverage_cache = None
         self._store = None
         self.coverage_generation = 0
         for gt in self.tuples:
@@ -70,37 +63,22 @@ class GeneralizedRelation:
         relation.temporal_arity = temporal_arity
         relation.data_arity = data_arity
         relation.tuples = tuple(tuples)
-        relation._data_indexes = None
-        relation._sig_index = None
-        relation._coverage_cache = None
         relation._store = None
         relation.coverage_generation = 0
         return relation
 
     # -- columnar backing store -------------------------------------------
 
-    def _kernel_store(self):
-        """The shared :class:`ColumnStore` when this view still covers
-        its full row prefix; None when a sibling growth moved past it
-        (older views then fall back to private per-instance caches)."""
-        store = self._store
-        if store is not None and len(store) == len(self.tuples):
-            return store
-        return None
-
     def _ensure_store(self):
-        """This view's store, built (or rebuilt after a prefix
-        mismatch) from the current tuples on first need.  The
-        per-instance coverage cache, if any, migrates into it."""
-        store = self._kernel_store()
-        if store is None:
-            store = ColumnStore(
-                self.tuples,
-                generation=self.coverage_generation,
-                coverage=self._coverage_cache,
+        """This view's :class:`ColumnStore`: the shared one while this
+        view still covers its full row prefix; otherwise (first need,
+        or a sibling growth moved past this view) a fresh one built
+        from the current tuples."""
+        store = self._store
+        if store is None or len(store) != len(self.tuples):
+            store = self._store = ColumnStore(
+                self.tuples, generation=self.coverage_generation
             )
-            self._store = store
-            self._coverage_cache = None
         return store
 
     def _check(self, gt):
@@ -138,47 +116,25 @@ class GeneralizedRelation:
         checked when this relation was built), so growing a relation by
         a delta is O(len(delta)), not O(len(relation)).
 
-        The coverage cache (see :meth:`coverage_cache`) is the one
-        cache that survives the "mutation": inserts only ever *add*
-        tuples, so a positive coverage verdict stays valid forever and
-        a negative one only goes stale for the free signatures the new
-        tuples carry.  The grown relation therefore inherits every
-        cached verdict except the negatives of touched signatures, and
-        its generation counter is bumped so observers can see the
+        The grown view shares this view's column store, so its indexes
+        and its coverage cache (see :meth:`coverage_cache`) carry over
+        instead of restarting cold.  Inserts only ever *add* tuples: a
+        positive coverage verdict stays valid forever, and the append
+        drops, in place, only the negatives of the signatures the new
+        tuples carry.  The store's generation counter bumps once per
+        growth and the grown view mirrors it, so observers can see the
         insert happened.
         """
         gts = tuple(gts)
         for gt in gts:
             self._check(gt)
-        if kernel.ENABLED:
-            # Columnar path: hand the shared store to the grown view.
-            # The append drops stale negative coverage verdicts in
-            # place (no O(n) cache copy) and bumps the one generation
-            # counter both views' bookkeeping mirrors.
-            store = self._ensure_store()
-            store.append(gts)
-            grown = GeneralizedRelation._trusted(
-                self.temporal_arity, self.data_arity, self.tuples + gts
-            )
-            grown._store = store
-            grown.coverage_generation = store.generation
-            return grown
+        store = self._ensure_store()
+        store.append(gts)
         grown = GeneralizedRelation._trusted(
             self.temporal_arity, self.data_arity, self.tuples + gts
         )
-        grown.coverage_generation = self.coverage_generation + 1
-        cache = self._coverage_cache
-        if cache:
-            touched = {gt.free_signature() for gt in gts}
-            inherited = {}
-            for signature, verdicts in cache.items():
-                if signature in touched:
-                    kept = {key: True for key, value in verdicts.items() if value}
-                    if kept:
-                        inherited[signature] = kept
-                else:
-                    inherited[signature] = dict(verdicts)
-            grown._coverage_cache = inherited
+        grown._store = store
+        grown.coverage_generation = store.generation
         return grown
 
     # -- structure ------------------------------------------------------------
@@ -217,91 +173,41 @@ class GeneralizedRelation:
 
     # -- indexes ------------------------------------------------------------
     #
-    # Relations are value objects, so the lazily built indexes below can
-    # never go stale: "mutation" always produces a fresh instance whose
-    # caches start empty.  This is the invalidation-on-mutation the
-    # round-level caching relies on.
+    # Both indexes live on the shared column store and are extended
+    # incrementally: a growth re-indexes only the appended rows.  An
+    # empty relation answers without building a store.
 
     def data_index(self, column):
-        """Hash index on a data column: ``{value: (tuple positions…)}``
-        in tuple order.  Served incrementally from the shared column
-        store while this view covers its full row prefix; otherwise
-        built lazily per instance and cached for the relation's
-        lifetime."""
-        if kernel.ENABLED:
-            store = self._kernel_store()
-            if store is None and self._data_indexes is None and self.tuples:
-                store = self._ensure_store()
-            if store is not None:
-                return store.data_index(column)
-        if self._data_indexes is None:
-            self._data_indexes = {}
-        index = self._data_indexes.get(column)
-        if index is None:
-            index = {}
-            for position, gt in enumerate(self.tuples):
-                index.setdefault(gt.data[column], []).append(position)
-            self._data_indexes[column] = index
-        return index
-
-    def signature_index(self):
-        """Index on the free-extension (lrp + data) signature:
-        ``{signature: [tuples…]}`` in tuple order.  Consulted by the
-        coverage tests of the engine's safety bookkeeping — one hash
-        lookup instead of a full scan per derived tuple."""
-        if self._sig_index is None:
-            index = {}
-            for gt in self.tuples:
-                index.setdefault(gt.free_signature(), []).append(gt)
-            self._sig_index = index
-        return self._sig_index
-
-    def tuples_with_signature(self, signature):
-        """The tuples whose free extension matches ``signature``.
-
-        With the kernel enabled the lookup goes through the store's
-        incremental id-keyed index, so growth re-indexes only the new
-        rows instead of rebuilding from scratch."""
-        if kernel.ENABLED:
-            store = self._kernel_store()
-            if store is None and self._sig_index is None and self.tuples:
-                store = self._ensure_store()
-            if store is not None:
-                return store.tuples_with_signature_id(signature_id(signature))
-        return self.signature_index().get(signature, [])
+        """Hash index on a data column: ``{value: [tuple positions…]}``
+        in tuple order."""
+        if not self.tuples:
+            return {}
+        return self._ensure_store().data_index(column)
 
     def tuples_with_signature_id(self, sid):
-        """The tuples whose free signature interned to ``sid`` (store
-        fast path; falls back through the signature object)."""
-        if kernel.ENABLED:
-            store = self._kernel_store()
-            if store is None and self._sig_index is None and self.tuples:
-                store = self._ensure_store()
-            if store is not None:
-                return store.tuples_with_signature_id(sid)
-        from repro.gdb.tuple import signature_of_id
-
-        return self.signature_index().get(signature_of_id(sid), [])
+        """The tuples whose free signature interned to ``sid`` (see
+        ``GeneralizedTuple.kernel_ids``), in tuple order.  Consulted by
+        the coverage tests of the engine's safety bookkeeping — one
+        hash lookup instead of a full scan per derived tuple."""
+        if not self.tuples:
+            return []
+        return self._ensure_store().tuples_with_signature_id(sid)
 
     def coverage_cache(self):
         """The cross-round coverage memo:
-        ``{free signature: {constraint canonical key: covered?}}``.
+        ``{sid: {cid: covered?}}``, keyed by the interned ids of
+        ``GeneralizedTuple.row_key``.
 
         Written by the engine's coverage test (see
         :class:`repro.core.safety.CoverageChecker`): a verdict recorded
-        here is valid for this exact relation value.  Unlike the lazy
-        indexes above it is *carried across* :meth:`with_tuples` —
-        inserts are monotone, so positive verdicts survive and only the
-        negatives of the inserted tuples' signatures are dropped.  That
-        carry-over is what lets unchanged signatures skip
-        ``implied_by_union`` entirely from round to round.
+        here is valid for this exact relation value.  It lives on the
+        store and is *carried across* :meth:`with_tuples` — inserts are
+        monotone, so positive verdicts survive and only the negatives
+        of the inserted tuples' signatures are dropped.  That carry-over
+        is what lets unchanged signatures skip ``implied_by_union``
+        entirely from round to round.
         """
-        if kernel.ENABLED:
-            return self._ensure_store().coverage
-        cache = self._coverage_cache
-        if cache is None:
-            cache = self._coverage_cache = {}
-        return cache
+        return self._ensure_store().coverage
 
     # -- algebra ------------------------------------------------------------------
 
@@ -568,11 +474,10 @@ class GeneralizedRelation:
         """
         seen = set()
         kept = []
-        use_row_keys = kernel.ENABLED
         for gt in self.tuples:
             # row_key is the interned (sid, cid) pair — an integer
             # compare bijective with canonical_key.
-            key = gt.row_key() if use_row_keys else gt.canonical_key()
+            key = gt.row_key()
             if key in seen:
                 continue
             seen.add(key)

@@ -21,9 +21,9 @@ copying the cache.
 
 Consistency rule: a relation view may serve answers from the store
 only while it covers the store's **full row prefix** (same length).
-The moment a sibling growth appends more rows, older views fall back
-to private per-instance indexes — the store never serves a superset of
-a view.
+The moment a sibling growth appends more rows, an older view builds a
+store of its own from its tuples — the store never serves a superset
+of a view.
 
 The module also defines the column-batch wire codec used by the shard
 pool: a batch of tuples ships as parallel ``rows`` arrays plus a
@@ -36,7 +36,7 @@ from __future__ import annotations
 import pickle
 
 from repro.constraints.system import ConstraintSystem
-from repro.gdb.tuple import GeneralizedTuple, signature_id
+from repro.gdb.tuple import GeneralizedTuple
 from repro.lrp.point import Lrp
 
 
@@ -59,12 +59,12 @@ class ColumnStore:
         "_data_watermarks",
     )
 
-    def __init__(self, rows=(), generation=0, coverage=None):
+    def __init__(self, rows=(), generation=0):
         self.rows = list(rows)
         self.generation = generation
         #: Theorem-4.3 verdicts: ``{sid: {cid: covered?}}`` (interned
         #: ids; structural keys appear only past the intern caps).
-        self.coverage = {} if coverage is None else coverage
+        self.coverage = {}
         self._sig_index = {}        # sid -> [tuples…] in row order
         self._sig_watermark = 0
         self._data_indexes = {}     # column -> {value: [row positions…]}
@@ -85,11 +85,7 @@ class ColumnStore:
         self.rows.extend(gts)
         self.generation += 1
         if self.coverage:
-            touched = set()
-            for gt in gts:
-                signature = gt.free_signature()
-                touched.add(signature)
-                touched.add(signature_id(signature))
+            touched = {gt.kernel_ids()[1] for gt in gts}
             for key in touched:
                 verdicts = self.coverage.get(key)
                 if verdicts is None:
@@ -102,19 +98,17 @@ class ColumnStore:
 
     # -- incremental indexes ---------------------------------------------
 
-    def signature_index(self):
-        """``{sid: [tuples…]}`` over all rows, extended incrementally."""
+    def tuples_with_signature_id(self, sid):
+        """The rows whose free signature interned to ``sid``, from the
+        ``{sid: [tuples…]}`` index over all rows (extended
+        incrementally)."""
         rows = self.rows
+        index = self._sig_index
         if self._sig_watermark < len(rows):
-            index = self._sig_index
             for gt in rows[self._sig_watermark:]:
                 index.setdefault(gt.kernel_ids()[1], []).append(gt)
             self._sig_watermark = len(rows)
-        return self._sig_index
-
-    def tuples_with_signature_id(self, sid):
-        """The rows whose free signature interned to ``sid``."""
-        return self.signature_index().get(sid, [])
+        return index.get(sid, [])
 
     def data_index(self, column):
         """``{value: [row positions…]}`` for one data column."""

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from repro.constraints.dbm import Dbm, INF
 from repro.constraints.system import ConstraintSystem
-from repro.gdb import kernel
 from repro.lrp.congruence import lcm_all
 from repro.lrp.point import Lrp
 
@@ -56,53 +55,22 @@ _ID_CAP = 1 << 20
 _ID_LOCK = threading.Lock()
 _LRP_IDS = {}       # lrp vector -> lvid
 _SIG_IDS = {}       # (lrps, data) -> sid
-_SIGNATURES = []    # sid -> (lrps, data)
 
 
-def _intern_lrp_vector(lrps):
-    lvid = _LRP_IDS.get(lrps)
-    if lvid is not None:
-        return lvid
+def _intern(table, key):
+    """The dense id of ``key`` in ``table`` (one of the tables above),
+    interning it if new; past the cap, the key itself."""
+    ident = table.get(key)
+    if ident is not None:
+        return ident
     with _ID_LOCK:
-        lvid = _LRP_IDS.get(lrps)
-        if lvid is not None:
-            return lvid
-        if len(_LRP_IDS) >= _ID_CAP:
-            return lrps
-        lvid = len(_LRP_IDS)
-        _LRP_IDS[lrps] = lvid
-        return lvid
-
-
-def _intern_signature(signature):
-    sid = _SIG_IDS.get(signature)
-    if sid is not None:
-        return sid
-    with _ID_LOCK:
-        sid = _SIG_IDS.get(signature)
-        if sid is not None:
-            return sid
-        if len(_SIGNATURES) >= _ID_CAP:
-            return signature
-        sid = len(_SIGNATURES)
-        _SIGNATURES.append(signature)
-        _SIG_IDS[signature] = sid
-        return sid
-
-
-def signature_of_id(sid):
-    """The free signature ``(lrps, data)`` an interned ``sid`` names.
-
-    Past-cap ids *are* the signature and pass through unchanged.
-    """
-    if isinstance(sid, int):
-        return _SIGNATURES[sid]
-    return sid
-
-
-def signature_id(signature):
-    """The interned id of a free signature (interning it if new)."""
-    return _intern_signature(signature)
+        ident = table.get(key)
+        if ident is not None:
+            return ident
+        if len(table) >= _ID_CAP:
+            return key
+        ident = table[key] = len(table)
+        return ident
 
 
 @dataclass(frozen=True)
@@ -251,8 +219,8 @@ class GeneralizedTuple:
         """
         ids = self._kernel_ids
         if ids is None:
-            lvid = _intern_lrp_vector(self.lrps)
-            sid = _intern_signature(self.free_signature())
+            lvid = _intern(_LRP_IDS, self.lrps)
+            sid = _intern(_SIG_IDS, self.free_signature())
             ids = self._kernel_ids = (lvid, sid, self.constraints.constraint_id())
         return ids
 
@@ -344,14 +312,12 @@ class GeneralizedTuple:
     def is_empty(self):
         """Exact emptiness, taking congruences into account.
 
-        With the kernel enabled the verdict is memoized (the tuple is
-        immutable) and tuples with at most one temporal column take an
-        exact closed form: a one-variable zone is an interval, so the
-        tuple is empty iff the interval is finite and contains no point
-        of the column's residue class.
+        The verdict is memoized (the tuple is immutable) and tuples
+        with at most one temporal column take an exact closed form: a
+        one-variable zone is an interval, so the tuple is empty iff the
+        interval is finite and contains no point of the column's
+        residue class.
         """
-        if not kernel.ENABLED:
-            return self._is_empty_uncached()
         empty = self._empty
         if empty is None:
             empty = self._empty = self._is_empty_uncached()
@@ -360,7 +326,7 @@ class GeneralizedTuple:
     def _is_empty_uncached(self):
         if not self.constraints.is_satisfiable():
             return True
-        if kernel.ENABLED and self.temporal_arity <= 1:
+        if self.temporal_arity <= 1:
             if self.temporal_arity == 0:
                 return False
             lo, hi = self.constraints.column_interval(0)
@@ -428,7 +394,7 @@ class GeneralizedTuple:
                     if lo not in lrps[i]:
                         return None
         lrps = tuple(lrps)
-        if kernel.ENABLED and lrps == self.lrps:
+        if lrps == self.lrps:
             # Nothing was refined: keep the original instance (and its
             # memoized hash / signature / kernel ids).
             return self
@@ -443,7 +409,7 @@ class GeneralizedTuple:
         """
         lrps = list(self.lrps)
         lrps[column] = lrps[column].shift(delta)
-        if kernel.ENABLED and self.constraints.is_trivial():
+        if self.constraints.is_trivial():
             # Shearing an unconstrained zone leaves it unconstrained:
             # only the lrp offset moves, the system is shared as-is.
             return GeneralizedTuple(tuple(lrps), self.data, self.constraints)
@@ -453,7 +419,7 @@ class GeneralizedTuple:
 
     def permuted(self, order):
         """Reorder temporal columns: new column ``k`` is old ``order[k]``."""
-        if kernel.ENABLED and list(order) == list(range(self.temporal_arity)):
+        if list(order) == list(range(self.temporal_arity)):
             return self
         mapping = {old: new for new, old in enumerate(order)}
         lrps = tuple(self.lrps[old] for old in order)
@@ -507,7 +473,7 @@ class GeneralizedTuple:
         """
         data = tuple(self.data[k] for k in keep_data)
         drop = [k for k in range(self.temporal_arity) if k not in keep_temporal]
-        if kernel.ENABLED and not force_aligned and self.constraints.is_trivial():
+        if not force_aligned and self.constraints.is_trivial():
             # Unconstrained zone: every column is independent, so the
             # projection is plain column selection (dropped columns
             # quantify away freely) under a fresh trivial zone.

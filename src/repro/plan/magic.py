@@ -692,7 +692,6 @@ def goal_directed_model(
     patience=10,
     on_give_up="partial",
     budget=None,
-    coverage_cache=True,
     widen_delay=DEFAULT_WIDEN_DELAY,
 ):
     """Evaluate ``program`` goal-directedly for ``goal``.
@@ -714,7 +713,6 @@ def goal_directed_model(
         patience=patience,
         on_give_up=on_give_up,
         evaluation=evaluation,
-        coverage_cache=coverage_cache,
     )
     try:
         rewrite = rewrite_for_goal(program, goal, widen_delay=widen_delay)

@@ -35,8 +35,9 @@ Event kinds are dotted names; the canonical vocabulary is
                       product; carrier / projection for those steps)
 ``checkpoint.write``  one per snapshot persisted: path, round, duration
 ``budget.charge``     one per budget charge: dimension, amount, total
-``coverage.cache``    one per coverage sweep: round, stratum, enabled,
-                      and the sweep's cache hit / miss counts
+``coverage.cache``    one per coverage sweep: round, stratum, enabled
+                      (True in ``"paper"`` safety mode, the one that
+                      caches), and the sweep's cache hit / miss counts
 ``service.job``       job lifecycle: submit / reject / dequeue /
                       attempt / outcome, with retry and degradation
                       annotations

@@ -1,9 +1,10 @@
 """The columnar kernel: batched canonicalization, interning, batch ops,
 the column store's generation counter, and the shard wire codec.
 
-The batch helpers must be *exactly* equivalent to the per-tuple loops
-they replace (the kernel-off ablation), including the alignment rule
-that an unsatisfiable result appears as None in the output list.
+The batch helpers must be *exactly* equivalent to calling the
+per-tuple methods (``joined``, ``conjoined``, ``extended``,
+``project``) one tuple at a time, including the alignment rule that an
+unsatisfiable result appears as None in the output list.
 """
 
 import gc
@@ -135,24 +136,20 @@ def _keys(results):
 
 
 class TestBatchOps:
-    """Each batch op must match its per-tuple loop (kernel-off run)."""
+    """Each batch op must match its per-tuple method called in a loop."""
 
     def test_select_batch_matches_ablation(self):
         tuples = [
             _gt(1),
-            _gt(1),  # duplicate ids: a template-cache hit when enabled
+            _gt(1),  # duplicate ids: a template-cache hit
             _gt(3, constraints=ConstraintSystem.parse("T1 >= 0", 1)),
         ]
         atoms = [Comparison(">=", TemporalTerm(0), TemporalTerm(None, 5))]
-        with kernel.configured(False):
-            expected = kernel.select_batch(
-                tuples, atoms, kernel.template_cache("select")
-            )
+        expected = [gt.conjoined(atoms) for gt in tuples]
         stats = {}
-        with kernel.configured(True):
-            got = kernel.select_batch(
-                tuples, atoms, kernel.template_cache("select"), stats
-            )
+        got = kernel.select_batch(
+            tuples, atoms, kernel.template_cache("select"), stats
+        )
         assert _keys(got) == _keys(expected)
         assert stats["size"] == 3
         assert stats["hits"] == 1
@@ -160,11 +157,9 @@ class TestBatchOps:
     def test_join_batch_matches_ablation(self):
         pairs = [(_gt(1), _gt(3, "y")), (_gt(1), _gt(3, "z")), (_gt(2), _gt(4, "y"))]
         atoms = [Comparison("=", TemporalTerm(1), TemporalTerm(0, 2))]
-        with kernel.configured(False):
-            expected = kernel.join_batch(pairs, atoms, kernel.template_cache("join"))
+        expected = [a.joined(b, atoms) for a, b in pairs]
         stats = {}
-        with kernel.configured(True):
-            got = kernel.join_batch(pairs, atoms, kernel.template_cache("join"), stats)
+        got = kernel.join_batch(pairs, atoms, kernel.template_cache("join"), stats)
         assert _keys(got) == _keys(expected)
         # The second pair shares both operands' (lvid, cid) ids with the
         # first — data columns differ but the temporal template is shared.
@@ -176,23 +171,18 @@ class TestBatchOps:
         atoms = [Comparison("=", TemporalTerm(0), TemporalTerm(0, 1))]
         pairs = [(_gt(1), _gt(1, "y"))] * 3
         stats = {}
-        with kernel.configured(True):
-            got = kernel.join_batch(pairs, atoms, kernel.template_cache("join"), stats)
+        got = kernel.join_batch(pairs, atoms, kernel.template_cache("join"), stats)
         assert got == [None, None, None]
         assert stats["hits"] == 2
 
     def test_extend_batch_matches_ablation(self):
         tuples = [_gt(1), _gt(1), _gt(7)]
         atoms = [Comparison("=", TemporalTerm(1), TemporalTerm(0, 2))]
-        with kernel.configured(False):
-            expected = kernel.extend_batch(
-                tuples, 1, atoms, kernel.template_cache("extend")
-            )
+        expected = [gt.extended(1, atoms) for gt in tuples]
         stats = {}
-        with kernel.configured(True):
-            got = kernel.extend_batch(
-                tuples, 1, atoms, kernel.template_cache("extend"), stats
-            )
+        got = kernel.extend_batch(
+            tuples, 1, atoms, kernel.template_cache("extend"), stats
+        )
         assert _keys(got) == _keys(expected)
         assert got[0].temporal_arity == 2
         assert stats["hits"] == 1
@@ -204,15 +194,14 @@ class TestBatchOps:
             ConstraintSystem.parse("T2 = T1 + 2", 2),
         )
         tuples = [wide, wide]
-        with kernel.configured(False):
-            expected = kernel.project_batch(
-                tuples, (0,), (1,), ((0, 2),), kernel.template_cache("project")
-            )
+        expected = [
+            [r.shift_column(0, 2) for r in gt.project((0,), (1,))]
+            for gt in tuples
+        ]
         stats = {}
-        with kernel.configured(True):
-            got = kernel.project_batch(
-                tuples, (0,), (1,), ((0, 2),), kernel.template_cache("project"), stats
-            )
+        got = kernel.project_batch(
+            tuples, (0,), (1,), ((0, 2),), kernel.template_cache("project"), stats
+        )
         assert [_keys(results) for results in got] == [
             _keys(results) for results in expected
         ]
@@ -220,12 +209,6 @@ class TestBatchOps:
         for results in got:
             for gt in results:
                 assert gt.data == ("y",)
-
-    def test_configured_restores_the_flag(self):
-        saved = kernel.ENABLED
-        with kernel.configured(not saved):
-            assert kernel.ENABLED is (not saved)
-        assert kernel.ENABLED is saved
 
     def test_cache_stats_shape(self):
         stats = kernel.cache_stats()
@@ -250,13 +233,14 @@ class TestStoreGenerations:
         base = GeneralizedRelation(1, 1, [_gt(1, "a"), _gt(3, "b")])
         # Prime both indexes on the original view.
         assert set(base.data_index(0)) == {"a", "b"}
-        assert len(base.tuples_with_signature(_gt(1, "a").free_signature())) == 1
+        sid = _gt(1, "a").kernel_ids()[1]
+        assert len(base.tuples_with_signature_id(sid)) == 1
         grown = base.with_tuples([_gt(5, "a"), _gt(7, "c")])
         # The grown view serves the appended rows...
         index = grown.data_index(0)
         assert set(index) == {"a", "b", "c"}
         assert index["a"] == [0, 2]
-        matches = grown.tuples_with_signature(_gt(5, "a").free_signature())
+        matches = grown.tuples_with_signature_id(_gt(5, "a").kernel_ids()[1])
         assert _gt(5, "a") in matches
         # ...while the stale pre-growth view never sees past its prefix.
         old_index = base.data_index(0)
@@ -266,6 +250,16 @@ class TestStoreGenerations:
             for positions in old_index.values()
             for position in positions
         )
+
+    def test_empty_relation_answers_without_a_store(self):
+        empty = GeneralizedRelation(1, 1)
+        assert empty.data_index(0) == {}
+        assert empty.tuples_with_signature_id(_gt(1).kernel_ids()[1]) == []
+        assert empty._store is None
+        # A view a sibling growth moved past stays empty too.
+        grown = empty.with_tuples([_gt(1)])
+        assert empty.data_index(0) == {}
+        assert set(grown.data_index(0)) == {"x"}
 
     def test_generation_counter_bumps_once_per_growth(self):
         base = GeneralizedRelation(1, 1, [_gt(1)])
@@ -278,9 +272,9 @@ class TestStoreGenerations:
         gt = _gt(1, "a")
         base = GeneralizedRelation(1, 1, [gt])
         cache = base.coverage_cache()
-        signature = gt.free_signature()
+        signature = gt.kernel_ids()[1]
         cache[signature] = {"was-covered": True, "was-uncovered": False}
-        other = _gt(3, "b").free_signature()
+        other = _gt(3, "b").kernel_ids()[1]
         cache[other] = {"elsewhere": False}
         # Same lrps + data (same free signature), tighter zone: touches
         # the cached signature without duplicating the row key.

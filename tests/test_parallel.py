@@ -389,16 +389,17 @@ def test_coverage_cache_hits_on_retest():
     assert (checker.hits, checker.misses) == (1, 1)
 
 
-def test_coverage_cache_disabled_never_hits():
+def test_semantic_mode_never_caches():
     relation = _single_tuple("relation r[1; 0] { (2n) where T1 >= 0; }")
     candidate = _single_tuple(
         "relation r[1; 0] { (2n+4) where T1 >= 0; }"
     ).tuples[0]
-    checker = CoverageChecker("paper", use_cache=False)
+    checker = CoverageChecker("semantic")
+    assert not checker.use_cache
     assert checker.covered(candidate, relation)
     assert checker.covered(candidate, relation)
     assert (checker.hits, checker.misses) == (0, 2)
-    assert relation._coverage_cache is None
+    assert relation.coverage_cache() == {}
 
 
 def test_coverage_cache_invalidated_by_insert():
@@ -438,47 +439,52 @@ def test_coverage_cache_positive_verdicts_survive_other_inserts():
     assert (checker.hits, checker.misses) == (1, 1)
 
 
-def test_coverage_cache_events_and_model_identity():
-    """Example 4.1 naive: the cache cuts ``implied_by_union`` work
-    (misses) without changing the model, and the sweep emits
+def test_coverage_cache_events_and_model_identity(monkeypatch):
+    """Example 4.1 naive: every verdict the cache answers equals the
+    uncached ``implied_by_union`` test on the same relation, the model
+    equals the reference oracle's, and the sweep emits
     ``coverage.cache`` events with the per-round deltas."""
+    from repro.core import safety
+
     program = parse_program(EXAMPLE_41_PROGRAM)
     database = parse_database(EXAMPLE_41_EDB)
+    original = CoverageChecker.covered
+    checked = {"tests": 0, "hits": 0}
 
-    def run(coverage_cache):
-        events = []
-        hooks.subscribe(
-            lambda kind, fields: events.append(dict(fields))
-            if kind == "coverage.cache"
-            else None
-        )
-        try:
-            engine = DeductiveEngine(
-                program,
-                database,
-                strategy="naive",
-                coverage_cache=coverage_cache,
-            )
-            model = engine.run()
-        finally:
-            hooks.SINKS = ()
-        return model, events
+    def covered(self, gt, relation, snapshot=None):
+        hits = self.hits
+        verdict = original(self, gt, relation, snapshot)
+        checked["tests"] += 1
+        if self.hits > hits:
+            checked["hits"] += 1
+            assert verdict == safety._covered_paper_uncached(gt, relation)
+        return verdict
 
-    cached_model, cached_events = run(True)
-    uncached_model, uncached_events = run(False)
-    assert str(cached_model) == str(uncached_model)
-    assert all(event["enabled"] for event in cached_events)
-    assert not any(event["enabled"] for event in uncached_events)
-    cached_hits = sum(event["hits"] for event in cached_events)
-    cached_misses = sum(event["misses"] for event in cached_events)
-    uncached_hits = sum(event["hits"] for event in uncached_events)
-    uncached_misses = sum(event["misses"] for event in uncached_events)
-    assert uncached_hits == 0
-    assert cached_hits > 0
-    assert cached_misses < uncached_misses
-    # Same number of coverage decisions either way — the cache changes
-    # how they are answered, never how many are asked.
-    assert cached_hits + cached_misses == uncached_misses
+    monkeypatch.setattr(CoverageChecker, "covered", covered)
+    events = []
+    hooks.subscribe(
+        lambda kind, fields: events.append(dict(fields))
+        if kind == "coverage.cache"
+        else None
+    )
+    try:
+        model = DeductiveEngine(program, database, strategy="naive").run()
+    finally:
+        hooks.SINKS = ()
+    monkeypatch.undo()
+    oracle = DeductiveEngine(
+        program, database, strategy="naive", evaluation="reference"
+    ).run()
+    assert model.predicates() == oracle.predicates()
+    for name in model.predicates():
+        assert model.relation(name).equivalent(oracle.relation(name)), name
+    assert events and all(event["enabled"] for event in events)
+    hits = sum(event["hits"] for event in events)
+    misses = sum(event["misses"] for event in events)
+    assert hits > 0
+    assert hits == checked["hits"]
+    # Every coverage decision is either a hit or a miss.
+    assert hits + misses == checked["tests"]
 
 
 def test_free_signature_is_memoized():
